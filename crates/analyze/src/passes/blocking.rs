@@ -3,10 +3,13 @@
 //!
 //! Blocking operations: channel `send` / `recv` / `recv_timeout`,
 //! thread `join` (empty-argument calls only, so `Path::join` and
-//! `slice::join` stay out), `spawn`, and the pool entry points
-//! `par_map` / `par_chunks_mut`. Holding a guard across any of these
-//! stalls every other thread contending for the lock — and deadlocks
-//! outright when the blocked-on thread needs the same lock.
+//! `slice::join` stay out), `spawn`, thread `park` / `unpark`, and the
+//! pool entry points `par_map` / `par_chunks_mut`. Holding a guard
+//! across any of these stalls every other thread contending for the
+//! lock — and deadlocks outright when the blocked-on thread needs the
+//! same lock. `unpark` does not block the caller, but the thread it
+//! wakes runs straight into the lock the caller still holds; a
+//! baton-passing handoff must release the lock before passing it on.
 //!
 //! Liveness is positional (see [`super::guards`]): a closure *registered*
 //! under a guard counts as running under it. That is conservative by
@@ -25,12 +28,20 @@ pub static HELD_ACROSS_BLOCKING: Rule = Rule {
     id: "C002",
     name: "held-across-blocking",
     severity: Severity::Error,
-    brief: "no MutexGuard may stay live across send/recv/recv_timeout/join/spawn/par_map",
+    brief: "no MutexGuard may stay live across send/recv/join/spawn/park/unpark/par_map",
     baseline: BaselineMode::PerFile,
 };
 
 /// Method-style blocking calls (need a `.` or `::` before the name).
-const BLOCKING_METHODS: &[&str] = &["send", "recv", "recv_timeout", "join", "spawn"];
+const BLOCKING_METHODS: &[&str] = &[
+    "send",
+    "recv",
+    "recv_timeout",
+    "join",
+    "spawn",
+    "park",
+    "unpark",
+];
 
 /// Pool entry points — blocking however they are invoked.
 const BLOCKING_FREE: &[&str] = &["par_map", "par_chunks_mut"];
@@ -130,6 +141,17 @@ mod tests {
         let mut ctx = Context::new(&baseline);
         BlockingPass.run(&ws, &mut ctx);
         ctx.diagnostics.iter().map(|d| d.to_string()).collect()
+    }
+
+    #[test]
+    fn guard_across_park_and_unpark_flagged() {
+        let got = run(
+            "fn f() { let g = m.lock(); next.unpark(); thread::park(); }\n\
+             fn ok() { let g = m.lock(); drop(g); next.unpark(); thread::park(); }\n",
+        );
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(got.iter().any(|m| m.contains("`unpark()`")), "{got:?}");
+        assert!(got.iter().any(|m| m.contains("`park()`")), "{got:?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! C004 `panic-boundary`: spawned work must be supervised, and
 //! stream-consumer loops must degrade instead of panicking.
 //!
-//! Two checks (both warnings — survivable, but they rot):
+//! Three checks (all warnings — survivable, but they rot):
 //!
 //! * a `thread::spawn` / `thread::Builder…spawn` whose closure is not
 //!   wrapped in `catch_unwind` and whose handle is not `.join()`ed in
@@ -9,6 +9,11 @@
 //!   vanishes (abort-on-panic is off) and the rest of the system keeps
 //!   trusting a dead worker. Scoped spawns (`pool::scope(|s| s.spawn…)`)
 //!   are exempt — the scope joins and rethrows.
+//! * …but the scope rethrows a generic "a scoped thread panicked" and
+//!   drops the payload. So a scoped spawn whose closure calls one of
+//!   the enclosing function's parameters (caller-supplied code, like a
+//!   pool helper's `f`) must catch the panic itself and re-raise it
+//!   with `resume_unwind`, or the caller loses its panic message.
 //! * a function that loops over channel receives (`loop`/`while` +
 //!   `.recv()`/`.recv_timeout()`) is a stream consumer; `panic!` /
 //!   `unreachable!` inside it turns one bad measurement into a dead
@@ -47,6 +52,7 @@ impl Pass for PanicBoundaryPass {
                     continue;
                 }
                 check_spawns(file, item, ctx);
+                check_scoped_spawns(file, item, ctx);
                 check_consumer_loop(file, item, ctx);
             }
         }
@@ -86,6 +92,78 @@ fn check_spawns(file: &FileIndex, f: &FnItem, ctx: &mut Context<'_>) {
             );
         }
     }
+}
+
+/// Flags scoped spawns that run a parameter of the enclosing fn without
+/// `catch_unwind`: the scope would replace that code's panic payload.
+fn check_scoped_spawns(file: &FileIndex, f: &FnItem, ctx: &mut Context<'_>) {
+    let Some((open, close)) = f.body else { return };
+    if f.params.is_empty() {
+        return;
+    }
+    for i in open + 1..close {
+        if !file.is_ident(i, "spawn") || !owns_token(file, f, i) || !is_scoped_spawn(file, i) {
+            continue;
+        }
+        let Some(args_open) = file.next_nt(i) else {
+            continue;
+        };
+        let Some(args_close) = file.close_of(args_open) else {
+            continue;
+        };
+        if (args_open + 1..args_close).any(|j| file.is_ident(j, "catch_unwind")) {
+            continue;
+        }
+        let called = (args_open + 1..args_close).find_map(|j| {
+            let name = file.text_of(j);
+            let is_call = file.tokens[j].kind == TokenKind::Ident
+                && f.params.iter().any(|p| p == name)
+                && file.next_nt(j).is_some_and(|n| file.is_punct(n, '('))
+                && !file
+                    .prev_nt(j)
+                    .is_some_and(|p| file.is_punct(p, '.') || file.is_punct(p, ':'));
+            is_call.then_some(name)
+        });
+        if let Some(param) = called {
+            ctx.emit_at(
+                &PANIC_BOUNDARY,
+                file,
+                i,
+                format!(
+                    "scoped thread in `{}` runs caller-supplied `{param}` without \
+                     catch_unwind — the scope re-raises \"a scoped thread panicked\" \
+                     and drops the caller's panic payload",
+                    f.qualified
+                ),
+            );
+        }
+    }
+}
+
+/// True when the `spawn` at `i` is `s.spawn(` for the parameter `s` of
+/// an enclosing `scope(|s| …)` closure.
+fn is_scoped_spawn(file: &FileIndex, i: usize) -> bool {
+    let (Some(dot), Some(open)) = (file.prev_nt(i), file.next_nt(i)) else {
+        return false;
+    };
+    if !file.is_punct(dot, '.') || !file.is_punct(open, '(') {
+        return false;
+    }
+    let Some(recv) = file.prev_nt(dot) else {
+        return false;
+    };
+    let handle = file.text_of(recv);
+    (0..recv).rev().any(|k| {
+        file.is_ident(k, "scope")
+            && file.next_nt(k).is_some_and(|p| {
+                file.is_punct(p, '(')
+                    && file.close_of(p).is_some_and(|c| c > i)
+                    && file.next_nt(p).is_some_and(|b| {
+                        file.is_punct(b, '|')
+                            && file.next_nt(b).is_some_and(|s| file.is_ident(s, handle))
+                    })
+            })
+    })
 }
 
 /// True when the `spawn` at `i` goes through `std::thread` (path call
@@ -259,6 +337,26 @@ mod tests {
     fn scoped_and_foreign_spawns_exempt() {
         let got = run("fn f() { scope(|s| { s.spawn(|| work()); }); }\n\
              fn g(sim: &Sim) { sim.spawn(task); }\n");
+        assert!(got.is_empty(), "{got:?}");
+    }
+
+    #[test]
+    fn scoped_spawn_running_caller_code_flagged() {
+        let got = run("fn par<F: Fn(usize)>(n: usize, f: F) {\n\
+             std::thread::scope(|s| { s.spawn(|| f(n)); });\n}\n");
+        assert_eq!(got.len(), 1, "{got:?}");
+        assert!(
+            got[0].contains("drops the caller's panic payload"),
+            "{got:?}"
+        );
+    }
+
+    #[test]
+    fn scoped_spawn_catching_caller_panics_is_clean() {
+        let got = run("fn par<F: Fn(usize)>(n: usize, f: F) {\n\
+             scope(|s| { s.spawn(|| { let _ = catch_unwind(|| f(n)); }); });\n}\n\
+             fn internal(n: usize) { scope(|s| { s.spawn(|| work(n)); }); }\n\
+             fn method(f: F) { scope(|s| { s.spawn(|| self.f(1)); }); }\n");
         assert!(got.is_empty(), "{got:?}");
     }
 

@@ -29,6 +29,9 @@ pub struct FnItem {
     /// True when the item sits inside a `#[cfg(test)]` region or
     /// carries `#[test]`.
     pub is_test: bool,
+    /// Names of the simply-bound parameters (`f` in `f: F`,
+    /// `mut f: F`); `self` and destructuring patterns are left out.
+    pub params: Vec<String>,
 }
 
 /// A lexed and structurally indexed source file.
@@ -244,6 +247,7 @@ fn scan_items(
                 if tokens[name_i].kind == TokenKind::Ident {
                     let name = txt(name_i).trim_start_matches("r#").to_string();
                     let body = fn_body(tokens, text, pairs, &nt, p + 1);
+                    let params = fn_params(tokens, text, pairs, &nt, p + 1);
                     let impl_type = impl_stack.last().map(|(_, t)| t.clone());
                     let qualified = match &impl_type {
                         Some(t) => format!("{t}::{name}"),
@@ -258,6 +262,7 @@ fn scan_items(
                         line: tokens[name_i].line,
                         body,
                         is_test: in_test_range,
+                        params,
                     });
                     // Do NOT jump over the body: nested fns/closures and
                     // impl blocks inside it should still be scanned.
@@ -421,6 +426,58 @@ fn fn_body(
     None
 }
 
+/// Parameter names of the `fn` whose name sits at `nt[name_p]`: every
+/// identifier followed by a single `:` right after the parameter
+/// list's `(`, a `,`, or `mut`. Generic parameter lists are skipped, so
+/// the `(` of `F: Fn(usize)` is not taken for the parameter list.
+fn fn_params(
+    tokens: &[Token],
+    text: &str,
+    pairs: &HashMap<usize, usize>,
+    nt: &[usize],
+    name_p: usize,
+) -> Vec<String> {
+    let punct = |q: usize, s: &str| {
+        nt.get(q)
+            .is_some_and(|&i| tokens[i].kind == TokenKind::Punct && tokens[i].text(text) == s)
+    };
+    let mut angle = 0usize;
+    let mut q = name_p + 1;
+    while q < nt.len() {
+        if punct(q, "<") {
+            angle += 1;
+        } else if punct(q, ">") && !punct(q - 1, "-") {
+            angle = angle.saturating_sub(1);
+        } else if punct(q, "{") || punct(q, ";") {
+            return Vec::new();
+        } else if punct(q, "(") && angle == 0 {
+            let Some(&close) = pairs.get(&nt[q]) else {
+                return Vec::new();
+            };
+            let mut names = Vec::new();
+            let mut k = q + 1;
+            while k + 1 < nt.len() && nt[k] < close {
+                let i = nt[k];
+                let after_sep = punct(k - 1, "(") || punct(k - 1, ",") || {
+                    let p = nt[k - 1];
+                    tokens[p].kind == TokenKind::Ident && tokens[p].text(text) == "mut"
+                };
+                if tokens[i].kind == TokenKind::Ident
+                    && after_sep
+                    && punct(k + 1, ":")
+                    && !punct(k + 2, ":")
+                {
+                    names.push(tokens[i].text(text).to_string());
+                }
+                k += 1;
+            }
+            return names;
+        }
+        q += 1;
+    }
+    Vec::new()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,6 +496,16 @@ mod tests {
         );
         let names: Vec<&str> = ix.fns.iter().map(|f| f.qualified.as_str()).collect();
         assert_eq!(names, vec!["free", "Engine::ingest", "Engine::fmt"]);
+    }
+
+    #[test]
+    fn params_skip_generics_self_and_paths() {
+        let ix = index(
+            "fn par<T, F: Fn(usize) -> T>(data: &mut [T], mut f: F, n: std::num::NonZeroUsize) {}\n\
+             impl W {\n    fn go(&self, (a, b): (u8, u8), cb: Box<dyn Fn(u8)>) {}\n}\n",
+        );
+        assert_eq!(ix.fns[0].params, vec!["data", "f", "n"]);
+        assert_eq!(ix.fns[1].params, vec!["cb"]);
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn c002_fires_on_blocking_fixture() {
         "crates/demo/src/lib.rs",
         BLOCKING_FIX,
     );
-    for op in ["recv", "send", "join", "par_map"] {
+    for op in ["recv", "send", "join", "park", "unpark", "par_map"] {
         assert!(
             got.iter().any(|m| m.contains(&format!("`{op}()`"))),
             "expected a finding for {op}: {got:?}"
@@ -116,6 +116,11 @@ fn c004_fires_on_panic_boundary_fixture() {
     assert!(
         got.iter().any(|m| m.contains("`unreachable!`")),
         "expected the consumer-loop unreachable: {got:?}"
+    );
+    assert!(
+        got.iter()
+            .any(|m| m.contains("par_chunks") && m.contains("panic payload")),
+        "expected the payload-dropping scoped spawn: {got:?}"
     );
 }
 

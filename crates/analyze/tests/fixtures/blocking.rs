@@ -27,6 +27,15 @@ impl Hub {
         drop(inbox);
     }
 
+    // Guard live across a baton handoff: the woken thread's first act
+    // is to take the lock this one still holds.
+    fn hand_off(&self, next: &Thread) {
+        let inbox = self.inbox.lock();
+        next.unpark();
+        thread::park();
+        drop(inbox);
+    }
+
     // Guard live across a pool fan-out.
     fn fan_out(&self, xs: &[u32]) {
         let inbox = self.inbox.lock();

@@ -1,4 +1,5 @@
-//! C004 fixture: unsupervised spawns and panicking consumer loops.
+//! C004 fixture: unsupervised spawns, scoped spawns that drop the
+//! caller's panic payload, and panicking consumer loops.
 
 // Neither catch_unwind in the closure nor a join in this fn.
 fn fire_and_forget(work: impl FnOnce() + Send + 'static) {
@@ -28,4 +29,14 @@ fn consume_timeout(rx: Receiver<u32>) {
             Err(e) => unreachable!("no timeouts expected: {e}"),
         }
     }
+}
+
+// A scoped fan-out over caller-supplied work: the scope turns a panic in
+// `f` into "a scoped thread panicked", losing the caller's message.
+fn par_chunks<T: Send, F: Fn(usize, &mut [T]) + Sync>(data: &mut [T], f: F) {
+    std::thread::scope(|s| {
+        for (i, chunk) in data.chunks_mut(8).enumerate() {
+            s.spawn(move || f(i, chunk));
+        }
+    });
 }

@@ -46,5 +46,8 @@ pub use dist::{BlockCyclic, ColumnAssignment, WeightedDist};
 pub use grid2d::{simulate_hpl_grid, GridShape};
 pub use params::{BcastAlgo, HplParams};
 pub use phases::PhaseTimes;
-pub use simulate::{simulate_hpl, simulate_hpl_perturbed, ExecutionPerturbation, SimulatedRun};
+pub use simulate::{
+    simulate_hpl, simulate_hpl_perturbed, simulate_hpl_with_stats, ExecutionPerturbation,
+    SimulatedRun,
+};
 pub use weighted::simulate_hpl_weighted;

@@ -22,7 +22,7 @@ use etm_support::sync::Mutex;
 use etm_cluster::{ClusterSpec, Configuration, KindId, PerfModel, Placement};
 use etm_mpisim::coll::{binomial_bcast, ring_bcast};
 use etm_mpisim::{Comm, SimComm, SimFabric, SimMsg};
-use etm_sim::Simulation;
+use etm_sim::{SimStats, Simulation};
 
 use crate::dist::{BlockCyclic, ColumnAssignment};
 use crate::params::{BcastAlgo, HplParams};
@@ -294,6 +294,33 @@ pub fn simulate_hpl_perturbed(
     params: &HplParams,
     perturb: &ExecutionPerturbation,
 ) -> SimulatedRun {
+    simulate_with(spec, config, params, perturb).0
+}
+
+/// [`simulate_hpl_perturbed`] that also returns the kernel's post-run
+/// [`SimStats`] (event count, per-resource busy time). The event count
+/// pins the exact event interleaving, so regression tests use it to
+/// hold the kernel's scheduling order fixed.
+///
+/// # Panics
+/// Panics as [`simulate_hpl_perturbed`] does.
+pub fn simulate_hpl_with_stats(
+    spec: &ClusterSpec,
+    config: &Configuration,
+    params: &HplParams,
+    perturb: &ExecutionPerturbation,
+) -> (SimulatedRun, SimStats) {
+    let (run, mut sim) = simulate_with(spec, config, params, perturb);
+    (run, sim.stats())
+}
+
+/// Runs the simulation and hands back the finished [`Simulation`] too.
+fn simulate_with(
+    spec: &ClusterSpec,
+    config: &Configuration,
+    params: &HplParams,
+    perturb: &ExecutionPerturbation,
+) -> (SimulatedRun, Simulation) {
     let placement = Placement::new(spec, config).expect("invalid configuration");
     let p = placement.len();
     debug_assert!(BlockCyclic::new(params.n, params.nb, p).num_blocks() > 0);
@@ -343,7 +370,7 @@ pub fn simulate_hpl_perturbed(
         .iter()
         .map(|p| p.expect("every rank reports"))
         .collect();
-    SimulatedRun {
+    let run = SimulatedRun {
         params: *params,
         config: config.clone(),
         kinds: placement.slots.iter().map(|s| s.kind).collect(),
@@ -351,7 +378,8 @@ pub fn simulate_hpl_perturbed(
         phases,
         wall_seconds,
         gflops: gflops(params.n, wall_seconds),
-    }
+    };
+    (run, sim)
 }
 
 #[cfg(test)]

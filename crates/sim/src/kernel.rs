@@ -1,27 +1,36 @@
-//! The simulation kernel: event queue, process scheduling, cooperative
-//! hand-off between the kernel thread and process threads.
+//! The simulation kernel: event queue, process scheduling, and the
+//! baton that passes control from one process thread to the next.
 //!
 //! ## Scheduling discipline
 //!
-//! Every simulated process runs on its own OS thread, but the kernel
-//! enforces *one runnable process at a time*: a process executes only
-//! after the kernel hands it a `Go` token, and it returns control by
-//! sending a [`Request`] and blocking on its private wake channel. Events
-//! at equal virtual time are ordered by an insertion sequence number, so a
-//! whole simulation is a deterministic function of its inputs — re-running
-//! a measurement campaign always reproduces the same virtual timings,
-//! which the estimation-model experiments rely on.
+//! Every simulated process runs on its own OS thread, but only the
+//! thread holding the *baton* runs; every other one is parked. All kernel
+//! state — event queue, resources, mailboxes, per-process wake slots —
+//! sits in one [`Core`] behind one mutex, and there is no kernel thread.
+//! A process that calls a blocking primitive applies its request to the
+//! core itself and then runs the dispatch loop over the `(time, seq)`
+//! event heap. If the next runnable process is its own, it keeps the
+//! baton and continues without a context switch; otherwise it stores the
+//! wake in that process's slot, unparks its thread and parks until its
+//! own slot is filled. The lock is always released before a thread is
+//! unparked or parks. `send`, and a `recv` whose message is already
+//! queued, never dispatch at all: the caller keeps running.
+//!
+//! Events at equal virtual time are ordered by an insertion sequence
+//! number and the processes completed by one resource firing resume in
+//! FIFO order, so a whole simulation is a deterministic function of its
+//! inputs — re-running a measurement campaign always reproduces the same
+//! virtual timings, which the estimation-model experiments rely on.
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle, Thread};
 
-use etm_support::channel::{bounded, unbounded, Receiver, Sender};
 use etm_support::sync::Mutex;
 
 use crate::mailbox::{Mailbox, MailboxId, Payload};
@@ -31,24 +40,6 @@ use crate::time::SimTime;
 /// Identifies a simulated process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Pid(pub(crate) usize);
-
-/// What a process asks the kernel to do when it yields.
-enum Request {
-    /// Sleep for a delay, then wake.
-    Hold(f64),
-    /// Join a processor-sharing resource with `work` work-units and wake
-    /// on completion.
-    Compute { res: ResourceId, work: f64 },
-    /// Post a message to a mailbox; the sender stays runnable.
-    Send { mb: MailboxId, msg: Payload },
-    /// Block until a message is available in the mailbox.
-    Recv { mb: MailboxId },
-    /// The process body returned normally.
-    Finished,
-    /// The process body panicked; the payload is re-thrown on the kernel
-    /// thread so test assertions inside processes fail the test.
-    Panicked(Box<dyn Any + Send>),
-}
 
 /// Wake-up token handed to a blocked process. Carries the received message
 /// when the wake completes a `recv`.
@@ -111,11 +102,125 @@ impl fmt::Display for DeadlockError {
 
 impl std::error::Error for DeadlockError {}
 
-struct ProcessRecord {
-    name: String,
-    go_tx: Sender<Wake>,
-    handle: Option<JoinHandle<()>>,
+/// Kernel-side view of one process.
+struct Proc {
+    thread: Thread,
+    /// The wake left by whoever passed this process the baton.
+    wake: Option<Wake>,
     finished: bool,
+}
+
+/// How a run ended; set by the thread that ends it, read by the driver.
+enum End {
+    /// No event and no ready process is left.
+    Drained,
+    /// A process body panicked; the payload is re-raised by `run`.
+    Panicked(Payload),
+}
+
+/// The whole kernel state, shared by the driver and every process thread
+/// behind one mutex.
+struct Core {
+    /// The virtual clock, mirrored into `clock` for lock-free reads by
+    /// [`Ctx::now`]. Only the baton holder writes it, under the lock, and
+    /// a reader holds the baton, which it received through the lock
+    /// after that write, so `Relaxed` loads and stores suffice.
+    now: SimTime,
+    clock: Arc<AtomicU64>,
+    queue: BinaryHeap<Reverse<Event>>,
+    seq: u64,
+    resources: Vec<SharedResource>,
+    mailboxes: Vec<Mailbox>,
+    procs: Vec<Proc>,
+    /// Processes completed by one resource firing, resumed in FIFO order
+    /// before the next event is popped.
+    ready: VecDeque<Pid>,
+    /// Messages taken from a mailbox for a parked receiver whose wake
+    /// event has been scheduled but not yet fired.
+    pending_deliveries: Vec<(Pid, Payload)>,
+    events_dispatched: u64,
+    /// The thread inside [`Simulation::run`].
+    driver: Thread,
+    end: Option<End>,
+    cancelled: bool,
+}
+
+impl Core {
+    fn push_event(&mut self, time: SimTime, kind: EvKind) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Reverse(Event { time, seq, kind }));
+    }
+
+    /// Reschedules the completion event for a resource after a membership
+    /// change.
+    fn reschedule_resource(&mut self, res: ResourceId) {
+        if let Some(t) = self.resources[res.0].next_completion() {
+            let generation = self.resources[res.0].generation;
+            // Guard against float drift placing the completion marginally
+            // in the past.
+            let t = t.max(self.now);
+            self.push_event(t, EvKind::ResourceFire { res, generation });
+        }
+    }
+
+    /// Dispatches events until a process is runnable; `None` once neither
+    /// a ready process nor an event is left.
+    fn next_runnable(&mut self) -> Option<(Pid, Wake)> {
+        loop {
+            if let Some(pid) = self.ready.pop_front() {
+                return Some((pid, Wake::Go));
+            }
+            let Reverse(ev) = self.queue.pop()?;
+            debug_assert!(ev.time >= self.now, "event in the past");
+            self.events_dispatched += 1;
+            self.now = ev.time;
+            self.clock
+                .store(ev.time.secs().to_bits(), Ordering::Relaxed);
+            match ev.kind {
+                EvKind::WakeProcess(pid) => {
+                    if self.procs[pid.0].finished {
+                        continue;
+                    }
+                    // A wake may complete a pending mailbox delivery.
+                    let wake = match self.pending_deliveries.iter().position(|(p, _)| *p == pid) {
+                        Some(i) => Wake::Delivery(self.pending_deliveries.remove(i).1),
+                        None => Wake::Go,
+                    };
+                    return Some((pid, wake));
+                }
+                EvKind::ResourceFire { res, generation } => {
+                    let r = &mut self.resources[res.0];
+                    if r.generation != generation {
+                        continue; // stale: membership changed since scheduling
+                    }
+                    r.advance_to(ev.time);
+                    r.take_completed_into(true, &mut self.ready);
+                    self.reschedule_resource(res);
+                }
+            }
+        }
+    }
+
+    /// Passes the baton on after a request has been applied. `Ok` is the
+    /// wake of `me`, the caller's own process, when it is next to run:
+    /// it keeps the baton. `Err` is the thread to unpark once the lock is
+    /// released: the next runnable process, whose wake now sits in its
+    /// slot, or the driver when the run has drained.
+    fn pass_baton(&mut self, me: Option<Pid>) -> Result<Wake, Thread> {
+        match self.next_runnable() {
+            Some((pid, wake)) if Some(pid) == me => Ok(wake),
+            Some((pid, wake)) => {
+                let p = &mut self.procs[pid.0];
+                p.wake = Some(wake);
+                Err(p.thread.clone())
+            }
+            None => {
+                self.end = Some(End::Drained);
+                Err(self.driver.clone())
+            }
+        }
+    }
 }
 
 /// Handle given to each process body for interacting with the simulation.
@@ -125,8 +230,7 @@ struct ProcessRecord {
 pub struct Ctx {
     pid: Pid,
     clock: Arc<AtomicU64>,
-    req_tx: Sender<(Pid, Request)>,
-    go_rx: Receiver<Wake>,
+    core: Arc<Mutex<Core>>,
 }
 
 impl Ctx {
@@ -140,14 +244,58 @@ impl Ctx {
         f64::from_bits(self.clock.load(Ordering::Relaxed))
     }
 
-    fn yield_with(&self, req: Request) -> Wake {
-        if self.req_tx.send((self.pid, req)).is_err() {
-            panic::panic_any(Cancelled);
-        }
-        match self.go_rx.recv() {
+    /// Acts on [`Core::pass_baton`]'s verdict, called with the lock
+    /// released: keep running, or wake the next thread and park until
+    /// the baton comes back.
+    fn follow_baton(&self, next: Result<Wake, Thread>) -> Wake {
+        match next {
             Ok(wake) => wake,
-            Err(_) => panic::panic_any(Cancelled),
+            Err(thread) => {
+                thread.unpark();
+                self.await_baton()
+            }
         }
+    }
+
+    /// Parks until another thread leaves a wake in this process's slot.
+    /// Unwinds with `Cancelled` if the simulation is dropped first.
+    fn await_baton(&self) -> Wake {
+        loop {
+            thread::park();
+            let mut core = self.core.lock();
+            // The slot may not exist yet if the park returned spuriously
+            // before `spawn` registered this process.
+            if let Some(wake) = core.procs.get_mut(self.pid.0).and_then(|p| p.wake.take()) {
+                return wake;
+            }
+            let cancelled = core.cancelled;
+            drop(core);
+            if cancelled {
+                panic::panic_any(Cancelled);
+            }
+        }
+    }
+
+    /// The body returned: retire and pass the baton on; the thread then
+    /// exits.
+    fn retire(&self) {
+        let mut core = self.core.lock();
+        core.procs[self.pid.0].finished = true;
+        let next = core.pass_baton(None);
+        drop(core);
+        if let Err(thread) = next {
+            thread.unpark();
+        }
+    }
+
+    /// The body panicked: retire and hand the payload to the driver.
+    fn retire_panicked(&self, payload: Payload) {
+        let mut core = self.core.lock();
+        core.procs[self.pid.0].finished = true;
+        core.end = Some(End::Panicked(payload));
+        let driver = core.driver.clone();
+        drop(core);
+        driver.unpark();
     }
 
     /// Suspends the process for `dt` virtual seconds.
@@ -159,7 +307,12 @@ impl Ctx {
             dt >= 0.0 && !dt.is_nan(),
             "hold duration must be >= 0, got {dt}"
         );
-        self.yield_with(Request::Hold(dt));
+        let mut core = self.core.lock();
+        let at = core.now + dt;
+        core.push_event(at, EvKind::WakeProcess(self.pid));
+        let next = core.pass_baton(Some(self.pid));
+        drop(core);
+        self.follow_baton(next);
     }
 
     /// Performs `work` work-units on a processor-sharing resource and
@@ -168,7 +321,14 @@ impl Ctx {
     /// virtual time therefore depends on contention, exactly like a
     /// time-sliced CPU or a shared network link.
     pub fn compute(&self, res: ResourceId, work: f64) {
-        self.yield_with(Request::Compute { res, work });
+        let mut core = self.core.lock();
+        let now = core.now;
+        core.resources[res.0].advance_to(now);
+        core.resources[res.0].add_job(self.pid, work);
+        core.reschedule_resource(res);
+        let next = core.pass_baton(Some(self.pid));
+        drop(core);
+        self.follow_baton(next);
     }
 
     /// Transfers `bytes` over a shared link: a fixed `latency` hold
@@ -185,10 +345,15 @@ impl Ctx {
     /// Posts a message to `mb` without blocking (delivery is instantaneous
     /// in virtual time; model transport cost with [`Ctx::transfer`]).
     pub fn send<T: Any + Send>(&self, mb: MailboxId, msg: T) {
-        self.yield_with(Request::Send {
-            mb,
-            msg: Box::new(msg),
-        });
+        let msg: Payload = Box::new(msg);
+        let mut core = self.core.lock();
+        if let Some((waiter, payload)) = core.mailboxes[mb.0].post(msg) {
+            // Deliver at the current instant; the waiter runs after the
+            // sender blocks.
+            core.pending_deliveries.push((waiter, payload));
+            let now = core.now;
+            core.push_event(now, EvKind::WakeProcess(waiter));
+        }
     }
 
     /// Receives the next message from `mb`, blocking in virtual time until
@@ -198,15 +363,22 @@ impl Ctx {
     /// Panics if the message at the head of the mailbox is not a `T`;
     /// mixing payload types in one mailbox is a programming error.
     pub fn recv<T: Any + Send>(&self, mb: MailboxId) -> T {
-        match self.yield_with(Request::Recv { mb }) {
-            Wake::Delivery(payload) => match payload.downcast::<T>() {
-                Ok(boxed) => *boxed,
-                Err(_) => panic!(
-                    "mailbox type mismatch: expected {}",
-                    std::any::type_name::<T>()
-                ),
-            },
-            Wake::Go => unreachable!("recv woken without a delivery"),
+        let mut core = self.core.lock();
+        let queued = core.mailboxes[mb.0].take_or_wait(self.pid);
+        let next = match queued {
+            Some(payload) => Ok(Wake::Delivery(payload)),
+            None => core.pass_baton(Some(self.pid)),
+        };
+        drop(core);
+        let Wake::Delivery(payload) = self.follow_baton(next) else {
+            unreachable!("recv woken without a delivery");
+        };
+        match payload.downcast::<T>() {
+            Ok(boxed) => *boxed,
+            Err(_) => panic!(
+                "mailbox type mismatch: expected {}",
+                std::any::type_name::<T>()
+            ),
         }
     }
 }
@@ -218,17 +390,9 @@ impl Ctx {
 /// value cannot be reused for a second run.
 pub struct Simulation {
     clock: Arc<AtomicU64>,
-    queue: BinaryHeap<Reverse<Event>>,
-    seq: u64,
-    resources: Vec<SharedResource>,
-    mailboxes: Vec<Mutex<Mailbox>>,
-    processes: Vec<ProcessRecord>,
-    req_tx: Sender<(Pid, Request)>,
-    req_rx: Receiver<(Pid, Request)>,
-    /// Messages taken from a mailbox for a parked receiver whose wake
-    /// event has been scheduled but not yet fired.
-    pending_deliveries: Vec<(Pid, Payload)>,
-    events_dispatched: u64,
+    core: Arc<Mutex<Core>>,
+    names: Vec<String>,
+    handles: Vec<JoinHandle<()>>,
     ran: bool,
 }
 
@@ -242,18 +406,27 @@ impl Simulation {
     /// Creates an empty simulation at virtual time zero.
     pub fn new() -> Self {
         install_cancel_hook();
-        let (req_tx, req_rx) = unbounded();
-        Simulation {
-            clock: Arc::new(AtomicU64::new(0f64.to_bits())),
+        let clock = Arc::new(AtomicU64::new(0f64.to_bits()));
+        let core = Core {
+            now: SimTime::ZERO,
+            clock: Arc::clone(&clock),
             queue: BinaryHeap::new(),
             seq: 0,
             resources: Vec::new(),
             mailboxes: Vec::new(),
-            processes: Vec::new(),
-            req_tx,
-            req_rx,
+            procs: Vec::new(),
+            ready: VecDeque::new(),
             pending_deliveries: Vec::new(),
             events_dispatched: 0,
+            driver: thread::current(),
+            end: None,
+            cancelled: false,
+        };
+        Simulation {
+            clock,
+            core: Arc::new(Mutex::new(core)),
+            names: Vec::new(),
+            handles: Vec::new(),
             ran: false,
         }
     }
@@ -261,9 +434,10 @@ impl Simulation {
     /// Registers a processor-sharing resource (CPU: `speed` = 1.0 for a
     /// unit-speed processor; link: `speed` = bytes per second).
     pub fn add_shared_resource(&mut self, name: impl Into<String>, speed: f64) -> ResourceId {
-        let id = ResourceId(self.resources.len());
-        self.resources.push(SharedResource::new(name, speed));
-        id
+        let res = SharedResource::new(name, speed);
+        let mut core = self.core.lock();
+        core.resources.push(res);
+        ResourceId(core.resources.len() - 1)
     }
 
     /// Derates a registered resource: divides its service speed by
@@ -280,18 +454,20 @@ impl Simulation {
     /// # Panics
     /// Panics if `slowdown` is not a finite positive factor.
     pub fn derate_resource(&mut self, id: ResourceId, slowdown: f64) {
-        let now = self.now();
-        let res = &mut self.resources[id.0];
+        let mut core = self.core.lock();
+        let now = core.now;
+        let res = &mut core.resources[id.0];
         res.advance_to(now);
         res.derate(slowdown);
-        self.reschedule_resource(id);
+        core.reschedule_resource(id);
     }
 
     /// Registers a mailbox for message passing between processes.
     pub fn add_mailbox(&mut self) -> MailboxId {
-        let id = MailboxId(self.mailboxes.len());
-        self.mailboxes.push(Mutex::new(Mailbox::default()));
-        id
+        let mailbox = Mailbox::default();
+        let mut core = self.core.lock();
+        core.mailboxes.push(mailbox);
+        MailboxId(core.mailboxes.len() - 1)
     }
 
     /// Spawns a simulated process. The body runs on its own thread but is
@@ -304,150 +480,52 @@ impl Simulation {
         F: FnOnce(&Ctx) + Send + 'static,
     {
         assert!(!self.ran, "cannot spawn after the simulation has run");
-        let pid = Pid(self.processes.len());
-        let (go_tx, go_rx) = bounded(1);
+        let pid = Pid(self.names.len());
         let ctx = Ctx {
             pid,
             clock: Arc::clone(&self.clock),
-            req_tx: self.req_tx.clone(),
-            go_rx,
+            core: Arc::clone(&self.core),
         };
         let name = name.into();
-        let thread_name = name.clone();
-        let handle = std::thread::Builder::new()
-            .name(thread_name)
+        let handle = thread::Builder::new()
+            .name(name.clone())
             .spawn(move || {
-                // Wait for the kernel's first Go before touching anything.
-                if ctx.go_rx.recv().is_err() {
-                    return; // simulation dropped before starting
-                }
-                let result = panic::catch_unwind(AssertUnwindSafe(|| body(&ctx)));
+                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                    // The start event's wake; it never carries a message.
+                    ctx.await_baton();
+                    body(&ctx);
+                }));
                 match result {
-                    Ok(()) => {
-                        let _ = ctx.req_tx.send((ctx.pid, Request::Finished));
-                    }
-                    Err(payload) => {
-                        if payload.downcast_ref::<Cancelled>().is_some() {
-                            // Quietly exit: the simulation was torn down.
-                        } else {
-                            let _ = ctx.req_tx.send((ctx.pid, Request::Panicked(payload)));
-                        }
-                    }
+                    Ok(()) => ctx.retire(),
+                    // Quietly exit: the simulation was torn down.
+                    Err(payload) if payload.is::<Cancelled>() => {}
+                    Err(payload) => ctx.retire_panicked(payload),
                 }
             })
             .expect("failed to spawn simulation process thread");
-        self.processes.push(ProcessRecord {
-            name,
-            go_tx,
-            handle: Some(handle),
+        let mut core = self.core.lock();
+        core.procs.push(Proc {
+            thread: handle.thread().clone(),
+            wake: None,
             finished: false,
         });
         // Start event at t = 0.
-        self.push_event(SimTime::ZERO, EvKind::WakeProcess(pid));
+        core.push_event(SimTime::ZERO, EvKind::WakeProcess(pid));
+        drop(core);
+        self.names.push(name);
+        self.handles.push(handle);
         pid
-    }
-
-    fn push_event(&mut self, time: SimTime, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Event { time, seq, kind }));
-    }
-
-    fn set_clock(&self, t: SimTime) {
-        self.clock.store(t.secs().to_bits(), Ordering::Relaxed);
     }
 
     fn now(&self) -> SimTime {
         SimTime::new(f64::from_bits(self.clock.load(Ordering::Relaxed)))
     }
 
-    /// Reschedules the completion event for a resource after a membership
-    /// change.
-    fn reschedule_resource(&mut self, res: ResourceId) {
-        if let Some(t) = self.resources[res.0].next_completion() {
-            let generation = self.resources[res.0].generation;
-            // Guard against float drift placing the completion marginally
-            // in the past.
-            let t = t.max(self.now());
-            self.push_event(t, EvKind::ResourceFire { res, generation });
-        }
-    }
-
-    /// Resumes `pid` and services its requests until it blocks, finishes
-    /// or panics.
-    fn resume(&mut self, pid: Pid, wake: Wake) {
-        if self.processes[pid.0].go_tx.send(wake).is_err() {
-            // Thread already gone (only possible after a panic we have
-            // since rethrown); nothing to do.
-            return;
-        }
-        loop {
-            let (from, req) = self
-                .req_rx
-                .recv()
-                .expect("process hung up without Finished/Panicked");
-            debug_assert_eq!(from, pid, "only the resumed process may issue requests");
-            match req {
-                Request::Hold(dt) => {
-                    let at = self.now() + dt;
-                    self.push_event(at, EvKind::WakeProcess(pid));
-                    return;
-                }
-                Request::Compute { res, work } => {
-                    let now = self.now();
-                    self.resources[res.0].advance_to(now);
-                    self.resources[res.0].add_job(pid, work);
-                    self.reschedule_resource(res);
-                    return;
-                }
-                Request::Send { mb, msg } => {
-                    let woken = self.mailboxes[mb.0].lock().post(msg);
-                    if let Some((waiter, payload)) = woken {
-                        // Deliver at the current instant; the waiter runs
-                        // after the sender yields for real.
-                        self.pending_deliveries.push((waiter, payload));
-                        let now = self.now();
-                        self.push_event(now, EvKind::WakeProcess(waiter));
-                    }
-                    // Sender continues immediately.
-                    if self.processes[pid.0].go_tx.send(Wake::Go).is_err() {
-                        return;
-                    }
-                }
-                Request::Recv { mb } => {
-                    let taken = self.mailboxes[mb.0].lock().take_or_wait(pid);
-                    match taken {
-                        Some(payload) => {
-                            if self.processes[pid.0]
-                                .go_tx
-                                .send(Wake::Delivery(payload))
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        None => return, // parked in the mailbox
-                    }
-                }
-                Request::Finished => {
-                    self.processes[pid.0].finished = true;
-                    if let Some(h) = self.processes[pid.0].handle.take() {
-                        let _ = h.join();
-                    }
-                    return;
-                }
-                Request::Panicked(payload) => {
-                    self.processes[pid.0].finished = true;
-                    if let Some(h) = self.processes[pid.0].handle.take() {
-                        let _ = h.join();
-                    }
-                    panic::resume_unwind(payload);
-                }
-            }
-        }
-    }
-
     /// Runs the simulation to completion.
+    ///
+    /// The calling thread is the driver: it passes the baton to the first
+    /// runnable process and parks until the run drains or a process
+    /// panics.
     ///
     /// Returns the final virtual time once every process has finished, or
     /// a [`DeadlockError`] if the event queue drains while processes are
@@ -458,41 +536,38 @@ impl Simulation {
     pub fn run(&mut self) -> Result<f64, DeadlockError> {
         assert!(!self.ran, "Simulation::run may only be called once");
         self.ran = true;
-        while let Some(Reverse(ev)) = self.queue.pop() {
-            debug_assert!(ev.time >= self.now(), "event in the past");
-            self.events_dispatched += 1;
-            self.set_clock(ev.time);
-            match ev.kind {
-                EvKind::WakeProcess(pid) => {
-                    if self.processes[pid.0].finished {
-                        continue;
-                    }
-                    // A wake may complete a pending mailbox delivery.
-                    let wake = match self.pending_deliveries.iter().position(|(p, _)| *p == pid) {
-                        Some(i) => Wake::Delivery(self.pending_deliveries.remove(i).1),
-                        None => Wake::Go,
-                    };
-                    self.resume(pid, wake);
-                }
-                EvKind::ResourceFire { res, generation } => {
-                    if self.resources[res.0].generation != generation {
-                        continue; // stale: membership changed since scheduling
-                    }
-                    let now = self.now();
-                    self.resources[res.0].advance_to(now);
-                    let done = self.resources[res.0].take_completed(true);
-                    self.reschedule_resource(res);
-                    for pid in done {
-                        self.resume(pid, Wake::Go);
-                    }
-                }
-            }
+        let mut core = self.core.lock();
+        core.driver = thread::current();
+        // Grow the kernel's queues here, on the driver thread: growth on a
+        // short-lived process thread would land in that thread's malloc
+        // arena and raise peak memory.
+        let n = core.procs.len();
+        let slots = 2 * (n + core.resources.len());
+        core.queue.reserve(slots);
+        core.ready.reserve(n);
+        core.pending_deliveries.reserve(n);
+        let first = core.pass_baton(None);
+        drop(core);
+        if let Err(thread) = first {
+            thread.unpark();
         }
-        let blocked: Vec<String> = self
-            .processes
+        // Park until the run ends; a drained start unparked this thread
+        // itself, so the first park returns at once.
+        let (end, procs) = loop {
+            thread::park();
+            let mut core = self.core.lock();
+            if let Some(end) = core.end.take() {
+                break (end, std::mem::take(&mut core.procs));
+            }
+        };
+        if let End::Panicked(payload) = end {
+            panic::resume_unwind(payload);
+        }
+        let blocked: Vec<String> = procs
             .iter()
-            .filter(|p| !p.finished)
-            .map(|p| p.name.clone())
+            .zip(&self.names)
+            .filter(|(p, _)| !p.finished)
+            .map(|(_, name)| name.clone())
             .collect();
         if blocked.is_empty() {
             Ok(self.now().secs())
@@ -503,23 +578,26 @@ impl Simulation {
             })
         }
     }
-}
 
-impl Simulation {
     /// Post-run statistics: final time, event count, per-resource usage.
     ///
     /// Meaningful after [`Simulation::run`]; resources are advanced to
     /// the final clock so busy time is complete.
     pub fn stats(&mut self) -> crate::stats::SimStats {
-        let now = self.now();
+        let mut core = self.core.lock();
+        let now = core.now;
+        let events = core.events_dispatched;
+        let mut taken = std::mem::take(&mut core.resources);
+        drop(core);
         let mut resources = std::collections::BTreeMap::new();
-        for r in &mut self.resources {
+        for r in &mut taken {
             r.advance_to(now);
             resources.insert(r.name().to_string(), r.stats);
         }
+        self.core.lock().resources = taken;
         crate::stats::SimStats {
             end_seconds: now.secs(),
-            events: self.events_dispatched,
+            events,
             resources,
         }
     }
@@ -527,15 +605,15 @@ impl Simulation {
 
 impl Drop for Simulation {
     fn drop(&mut self) {
-        // Closing the Go channels unblocks any parked process thread; its
-        // next primitive call unwinds with `Cancelled`, which the thread
+        // Wake every process thread; one still parked sees the
+        // cancellation and unwinds with `Cancelled`, which the thread
         // wrapper swallows.
-        for p in &mut self.processes {
-            let (dead_tx, _) = bounded(1);
-            p.go_tx = dead_tx;
-            if let Some(h) = p.handle.take() {
-                let _ = h.join();
-            }
+        self.core.lock().cancelled = true;
+        for h in &self.handles {
+            h.thread().unpark();
+        }
+        for h in self.handles.drain(..) {
+            let _ = h.join();
         }
     }
 }

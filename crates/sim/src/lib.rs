@@ -11,8 +11,11 @@
 //! A [`Simulation`] owns a virtual clock and an event queue. User code
 //! spawns *processes* — ordinary Rust closures that run on dedicated OS
 //! threads but are scheduled **cooperatively**: exactly one process runs at
-//! any instant, and control returns to the kernel whenever the process
-//! calls a blocking primitive on its [`Ctx`] handle. This yields fully
+//! any instant. There is no kernel thread. A process that calls a blocking
+//! primitive on its [`Ctx`] handle dispatches the next event itself and
+//! passes control (the *baton*) straight to the next runnable process,
+//! or keeps it when that process is its own; [`Simulation::run`] only
+//! starts the first dispatch and waits for the last. This yields fully
 //! deterministic executions (identical event interleavings for identical
 //! inputs) while letting simulation logic be written as straight-line code.
 //!

@@ -321,3 +321,155 @@ fn derate_is_deterministic_under_contention() {
     assert_eq!(a.to_bits(), b.to_bits());
     assert!((a - 3.0).abs() < 1e-9, "2 jobs x 1.0 work at speed 1/1.5");
 }
+
+/// Message of a caught panic payload (`panic!` with or without format
+/// arguments).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Counts how many process closures have been torn down.
+struct DropCounter(Arc<AtomicUsize>);
+
+impl Drop for DropCounter {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn panic_inside_a_kernel_primitive_reaches_run_with_its_message() {
+    // The NaN job is rejected by the resource while the process thread
+    // applies its own request; the payload must still surface from
+    // `run`, and the bystander parked in `recv` must be torn down.
+    let torn_down = Arc::new(AtomicUsize::new(0));
+    let mut sim = Simulation::new();
+    let cpu = sim.add_shared_resource("cpu", 1.0);
+    let mb = sim.add_mailbox();
+    let guard = DropCounter(Arc::clone(&torn_down));
+    sim.spawn("bystander", move |ctx| {
+        let _guard = guard;
+        let _: u32 = ctx.recv(mb);
+    });
+    sim.spawn("bad", move |ctx| {
+        ctx.hold(1.0);
+        ctx.compute(cpu, f64::NAN);
+    });
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("the NaN job must panic");
+    let msg = panic_message(payload.as_ref());
+    assert!(
+        msg.contains("job work must be finite and non-negative"),
+        "lost the panic message: {msg:?}"
+    );
+    drop(sim);
+    assert_eq!(torn_down.load(Ordering::SeqCst), 1);
+}
+
+#[test]
+fn drop_after_deadlock_joins_every_thread() {
+    let n = 6;
+    let torn_down = Arc::new(AtomicUsize::new(0));
+    let mut sim = Simulation::new();
+    let cpu = sim.add_shared_resource("cpu", 1.0);
+    let never = sim.add_mailbox();
+    for i in 0..n {
+        let guard = DropCounter(Arc::clone(&torn_down));
+        sim.spawn(format!("stuck{i}"), move |ctx| {
+            let _guard = guard;
+            ctx.compute(cpu, 0.5 * (i + 1) as f64);
+            let _: u8 = ctx.recv(never);
+        });
+    }
+    let err = sim.run().unwrap_err();
+    assert_eq!(err.blocked.len(), n);
+    // Processor sharing finishes all the work, 0.5 * (1 + ... + n).
+    let work = 0.25 * (n * (n + 1)) as f64;
+    assert!((err.at.secs() - work).abs() < 1e-9, "at {}", err.at);
+    drop(sim);
+    assert_eq!(
+        torn_down.load(Ordering::SeqCst),
+        n,
+        "every process thread must have unwound and been joined"
+    );
+}
+
+#[test]
+fn drop_before_run_joins_unstarted_threads() {
+    let torn_down = Arc::new(AtomicUsize::new(0));
+    let mut sim = Simulation::new();
+    for _ in 0..4 {
+        let guard = DropCounter(Arc::clone(&torn_down));
+        sim.spawn("idle", move |_ctx| {
+            let _guard = guard;
+            panic!("a process that never ran must not start");
+        });
+    }
+    drop(sim);
+    assert_eq!(torn_down.load(Ordering::SeqCst), 4);
+}
+
+#[test]
+fn many_process_ping_pong_has_a_fixed_event_count() {
+    // 16 pairs x 500 round trips, staggered in time and sharing one CPU,
+    // so wakes, deliveries and resource completions interleave across
+    // all 32 threads. A lost wakeup hangs or deadlocks; a reordering
+    // moves the event count or the end time.
+    let pairs = 16usize;
+    let rounds = 500u32;
+    let mut sim = Simulation::new();
+    let cpu = sim.add_shared_resource("cpu", 4.0);
+    for k in 0..pairs {
+        let ping = sim.add_mailbox();
+        let pong = sim.add_mailbox();
+        let lag = 1e-3 * (k + 1) as f64;
+        sim.spawn(format!("ping{k}"), move |ctx| {
+            for i in 0..rounds {
+                ctx.send(ping, i);
+                let back: u32 = ctx.recv(pong);
+                assert_eq!(back, i + 1);
+                if i % 50 == 0 {
+                    ctx.compute(cpu, lag);
+                }
+            }
+        });
+        sim.spawn(format!("pong{k}"), move |ctx| {
+            for _ in 0..rounds {
+                let v: u32 = ctx.recv(ping);
+                ctx.hold(lag);
+                ctx.send(pong, v + 1);
+            }
+        });
+    }
+    let end = sim.run().expect("ping-pong must not deadlock");
+    let stats = sim.stats();
+    assert_eq!(
+        (end.to_bits(), stats.events),
+        (0x4020_1ea6_502e_2001, 24_190),
+        "end {end} ({:#018x}) after {} events",
+        end.to_bits(),
+        stats.events
+    );
+}
+
+#[test]
+fn completions_of_one_firing_resume_in_service_order() {
+    // Three equal jobs finish on the same resource firing; their
+    // processes must resume in the order the jobs joined the resource.
+    let mut sim = Simulation::new();
+    let cpu = sim.add_shared_resource("cpu", 1.0);
+    let order = Arc::new(Mutex::new(Vec::new()));
+    for i in 0..3usize {
+        let order = Arc::clone(&order);
+        sim.spawn(format!("p{i}"), move |ctx| {
+            ctx.compute(cpu, 1.0);
+            order.lock().unwrap().push(i);
+        });
+    }
+    assert!((sim.run().unwrap() - 3.0).abs() < 1e-12);
+    assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
+}

@@ -43,15 +43,25 @@ where
         let _ = tx.send(pair);
     }
     drop(tx);
+    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
                 while let Ok((i, chunk)) = rx.recv() {
-                    f(i, chunk);
+                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i, chunk))) {
+                        let mut slot = first_panic.lock();
+                        if slot.is_none() {
+                            *slot = Some(payload);
+                        }
+                        return;
+                    }
                 }
             });
         }
     });
+    if let Some(payload) = first_panic.into_inner() {
+        resume_unwind(payload);
+    }
 }
 
 /// Maps `f` over `items` on `threads` scoped worker threads, returning

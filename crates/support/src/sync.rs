@@ -1,10 +1,11 @@
 //! Poison-free wrappers over `std::sync` locks with the parking_lot
 //! calling convention (`lock()` returns the guard directly).
 //!
-//! The simulation kernel re-raises process panics on the kernel thread
-//! *after* releasing its locks, so a poisoned std mutex would only ever
-//! signal a panic that is already being propagated elsewhere; unwrapping
-//! the poison error is therefore safe and keeps every call site free of
+//! A simulation process that panics inside a kernel primitive unwinds
+//! while holding the kernel lock, and the kernel re-raises that panic
+//! on the driver thread, so a poisoned std mutex would only ever signal
+//! a panic that is already being propagated elsewhere; unwrapping the
+//! poison error is therefore safe and keeps every call site free of
 //! `unwrap()` noise (which the `xtask` lint bans in library code).
 
 use std::fmt;

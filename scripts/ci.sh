@@ -29,9 +29,10 @@
 #                           bench-trend` -> results/bench/TREND.md).
 #
 # Both tiers write machine-readable per-stage wall times to
-# results/ci_timing.json (stage name, seconds, tier) next to the
+# results/ci_timing.json (stage name, seconds, status, tier) next to the
 # human-readable summary, so CI dashboards can trend stage cost without
-# scraping the log.
+# scraping the log. The stage that fails is recorded too, with status
+# "failed" and the wall time it ran before failing.
 #
 # ETM_NET_TESTS=1 additionally opts the full tier into the preserved
 # legacy proptest suites (see proptest_legacy below); they need the
@@ -54,25 +55,36 @@ done
 
 STAGE_NAMES=()
 STAGE_TIMES=()
+STAGE_STATUS=()
+# The stage in progress; set -e exits mid-stage on failure, so the EXIT
+# trap records it from here.
+CURRENT_STAGE=""
+CURRENT_T0=0
+
+record_stage() {
+  STAGE_NAMES+=("$CURRENT_STAGE")
+  STAGE_TIMES+=($(($(date +%s) - CURRENT_T0)))
+  STAGE_STATUS+=("$1")
+  CURRENT_STAGE=""
+}
 
 stage() {
   local name="$1"; shift
   echo
   echo "=== stage: $name ==="
-  local t0 t1
-  t0=$(date +%s)
+  CURRENT_STAGE="$name"
+  CURRENT_T0=$(date +%s)
   "$@"
-  t1=$(date +%s)
-  STAGE_NAMES+=("$name")
-  STAGE_TIMES+=($((t1 - t0)))
+  record_stage ok
 }
 
 summary() {
+  [ -n "$CURRENT_STAGE" ] && record_stage failed
   echo
   echo "=== stage timing ==="
   local i
   for i in "${!STAGE_NAMES[@]}"; do
-    printf '  %-22s %4ss\n' "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}"
+    printf '  %-22s %4ss  %s\n' "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_STATUS[$i]}"
   done
   # The same timings, machine-readable, for CI dashboards. Written on
   # every exit path so a failed run still records what it paid for.
@@ -82,8 +94,8 @@ summary() {
   {
     printf '{\n  "tier": "%s",\n  "stages": [\n' "$tier"
     for i in "${!STAGE_NAMES[@]}"; do
-      printf '    {"stage": "%s", "wall_s": %s}' \
-        "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}"
+      printf '    {"stage": "%s", "wall_s": %s, "status": "%s"}' \
+        "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_STATUS[$i]}"
       if [ "$i" -lt $((${#STAGE_NAMES[@]} - 1)) ]; then printf ','; fi
       printf '\n'
     done
